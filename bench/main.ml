@@ -357,8 +357,21 @@ let bench_mine () =
 
 (* ---- C9: indexed vs scanned binding queries (§4 efficiency) ----------- *)
 
+(* The reference access path [Binding.verdict] replaces with the
+   relation's candidate index: every stored tuple, filtered by strict
+   subsumption. *)
+let scan_verdict rel item =
+  let schema = Relation.schema rel in
+  Binding.decide schema item ~exact:(Relation.find rel item)
+    ~relevant:
+      (List.filter
+         (fun (t : Relation.tuple) -> Item.strictly_subsumes schema t.Relation.item item)
+         (Relation.tuples rel))
+
 let bench_index () =
-  section "C9 — binding queries: indexed vs full scan (§4 efficiency promise)";
+  section
+    "C9 — binding queries: candidate index (Binding.verdict) vs body scan (§4 efficiency \
+     promise)";
   let g = Prng.create 41L in
   (* One hierarchy (and one probe) shared by every size, so the cases
      differ only in tuple count — separate random hierarchies per case
@@ -382,26 +395,26 @@ let bench_index () =
           Workload.consistent_random_relation (Prng.split g) schema
             { Workload.default_relation_spec with tuples }
         in
-        let idx = Index.build rel in
-        (tuples, rel, idx, probe))
+        (tuples, rel, probe))
       [ 25; 100; 400 ]
   in
   let tests =
     List.concat_map
-      (fun (tuples, rel, idx, probe) ->
+      (fun (tuples, rel, probe) ->
         [
           Test.make
             ~name:(Printf.sprintf "scan/%3d tuples" tuples)
-            (Staged.stage (fun () -> Binding.verdict rel probe));
+            (Staged.stage (fun () -> scan_verdict rel probe));
           Test.make
             ~name:(Printf.sprintf "index/%3d tuples" tuples)
-            (Staged.stage (fun () -> Index.verdict idx probe));
+            (Staged.stage (fun () -> Binding.verdict rel probe));
         ])
       cases
   in
   run_benches ~label:"binding" tests;
   Format.printf
-    "shape check: scan cost grows with relation size; indexed probes stay near-flat.@."
+    "shape check: the body scan's cost grows with relation size; Binding.verdict's \
+     candidate-index probes stay near-flat.@."
 
 (* ---- C10: storage engine costs ----------------------------------------- *)
 
@@ -599,67 +612,64 @@ let bench_group_commit () =
     (if grp_syncs < grp_appends then "confirmed (sync batches < appends)"
      else "NOT OBSERVED (sync batches >= appends)")
 
-(* ---- C12: page-level I/O of both representations ------------------------ *)
+(* ---- C12: page footprint of both representations ------------------------ *)
+
+(* Pages a fresh [Page_store] holds after one commit of [rel] alone. *)
+let stored_pages rel =
+  let path = Filename.temp_file "hrc12" ".db" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let store = Hr_storage.Page_store.create path in
+      Hr_storage.Page_store.apply_relation store rel;
+      let _, total = Hr_storage.Page_store.commit store ~fsync:false ~base_lsn:0 () in
+      Hr_storage.Page_store.close store;
+      total)
 
 let bench_page_io () =
-  section "C12 — page I/O: hierarchical stored form vs enumerated extension";
+  section "C12 — page store: hierarchical stored form vs enumerated extension";
   let table =
     Texttable.create
       ~aligns:
         [ Texttable.Right; Texttable.Right; Texttable.Right; Texttable.Right; Texttable.Right ]
-      [ "extension"; "hier rows"; "hier pages"; "flat rows"; "flat pages" ]
+      [ "extension"; "hier tuples"; "hier pages"; "flat tuples"; "flat pages" ]
   in
-  List.iter
-    (fun (fanout, ipl) ->
-      let h =
-        Workload.tree_hierarchy ~name:(Printf.sprintf "c12_%d_%d" fanout ipl) ~depth:2 ~fanout
-          ~instances_per_leaf:ipl ()
-      in
-      let schema = Schema.make [ ("v", h) ] in
-      let rel =
-        Relation.of_tuples ~name:"r" schema
-          [ (Types.Pos, [ Hierarchy.node_label h (Hierarchy.root h) ]) ]
-      in
-      let flat = Traditional.extension_relation rel in
-      let with_heap fill =
-        let path = Filename.temp_file "hrc12" ".db" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            let hf = Hr_storage.Heap_file.create path in
-            fill hf;
-            let pages = Hr_storage.Heap_file.page_count hf in
-            let rows = Hr_storage.Heap_file.row_count hf in
-            Hr_storage.Heap_file.close hf;
-            (rows, pages))
-      in
-      let hier_rows, hier_pages =
-        with_heap (fun hf ->
-            Relation.iter
-              (fun (t : Relation.tuple) ->
-                Hr_storage.Heap_file.append hf
-                  (Format.asprintf "%a%s" Types.pp_sign t.Relation.sign
-                     (Item.to_string schema t.Relation.item)))
-              rel)
-      in
-      let flat_rows, flat_pages =
-        with_heap (fun hf ->
-            Flat_relation.fold
-              (fun row () -> Hr_storage.Heap_file.append hf (String.concat "," row))
-              flat ())
-      in
-      Texttable.add_row table
-        [
-          string_of_int (Explicate.extension_size rel);
-          string_of_int hier_rows;
-          string_of_int hier_pages;
-          string_of_int flat_rows;
-          string_of_int flat_pages;
-        ])
-    [ (8, 8); (16, 16); (32, 32) ];
+  let last =
+    List.fold_left
+      (fun _ (fanout, ipl) ->
+        let h =
+          Workload.tree_hierarchy ~name:(Printf.sprintf "c12_%d_%d" fanout ipl) ~depth:2 ~fanout
+            ~instances_per_leaf:ipl ()
+        in
+        let schema = Schema.make [ ("v", h) ] in
+        let rel =
+          Relation.of_tuples ~name:"r" schema
+            [ (Types.Pos, [ Hierarchy.node_label h (Hierarchy.root h) ]) ]
+        in
+        let flat = Explicate.explicate rel in
+        let hier_pages = stored_pages rel and flat_pages = stored_pages flat in
+        Texttable.add_row table
+          [
+            string_of_int (Explicate.extension_size rel);
+            string_of_int (Relation.cardinality rel);
+            string_of_int hier_pages;
+            string_of_int (Relation.cardinality flat);
+            string_of_int flat_pages;
+          ];
+        (hier_pages, flat_pages))
+      (0, 0)
+      [ (8, 8); (16, 16); (32, 32) ]
+  in
   print_string (Texttable.render table);
+  let hier_pages, flat_pages = last in
   Format.printf
-    "shape check: the hierarchical form stays within one page while the flat form grows.@."
+    "shape check: the hierarchical form stays at a few pages while the flat form grows: %s.@."
+    (if hier_pages < flat_pages then "OBSERVED" else "NOT OBSERVED");
+  if hier_pages >= flat_pages then begin
+    Format.eprintf "C12: hierarchical form uses %d pages, flat form %d, at the largest size@."
+      hier_pages flat_pages;
+    exit 1
+  end
 
 (* ---- C13: semantic-net geometric growth (§2.1) --------------------------- *)
 
@@ -770,7 +780,7 @@ let median = function
     List.nth sorted (List.length sorted / 2)
 
 (* Pairs each estimate node with the evaluated node of the same plan —
-   Cost_model.plan and Eval.analyze_raw both walk Optimizer.optimize's
+   Cost_model.plan and Eval.analyze both walk Optimizer.optimize's
    output, so the trees are shape-identical by construction. *)
 let rec zip_estimates (n : Hr_analysis.Cost_model.node) (a : Hr_query.Eval.analyzed) acc =
   let acc = (n.Hr_analysis.Cost_model.n_label, n.Hr_analysis.Cost_model.n_rows, a.Hr_query.Eval.a_rows) :: acc in
@@ -821,7 +831,7 @@ let bench_estimator () =
         match Cost_model.plan src expr with
         | Error msg -> failwith ("C15 " ^ name ^ ": " ^ msg)
         | Ok (optimized, root) ->
-          let _, actual = Hr_query.Eval.analyze_raw cat optimized in
+          let _, actual = Hr_query.Eval.analyze cat optimized in
           let pairs = zip_estimates root actual [] in
           nodes := !nodes + List.length pairs;
           List.iter (fun (_, est, act) -> qs := qerror est act :: !qs) pairs)

@@ -345,11 +345,8 @@ let all =
       "A stored edge violates type-irredundancy." "Drop the redundant edge (it changes preemption).";
     fc "F013" "closure index mismatch"
       "The transitive-closure index disagrees with a naive DFS."
-      "Delete graphs.bin; it is rebuilt on open.";
-    fc "F014" "graphs.bin differs from recomputation"
-      "The sidecar is stale or corrupt." "Delete graphs.bin; it is rebuilt on open.";
-    fw "F015" "graphs.bin missing or undecodable"
-      "No usable closure sidecar next to a snapshot." "None needed; it is rebuilt on open.";
+      "Report a bug: the index is rebuilt from the stored DAG on every \
+       open, so a mismatch is a defect in the index code, not in the data.";
     fc "F016" "peer divergence"
       "Two databases disagree at their greatest common LSN."
       "Rebuild the replica from a fresh snapshot of the primary.";

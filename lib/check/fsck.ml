@@ -1,6 +1,5 @@
 module Wal = Hr_storage.Wal
 module Snapshot = Hr_storage.Snapshot
-module Graph_store = Hr_storage.Graph_store
 module Page_store = Hr_storage.Page_store
 module Pager = Hr_storage.Pager
 module Hierarchy = Hr_hierarchy.Hierarchy
@@ -40,7 +39,6 @@ let snapshot_path dir = Filename.concat dir "snapshot.bin"
 let pages_path dir = Filename.concat dir "pages.db"
 let wal_path dir = Filename.concat dir "wal.log"
 let meta_path dir = Filename.concat dir "meta"
-let graphs_path dir = Filename.concat dir "graphs.bin"
 
 (* ---- finding accumulation ------------------------------------------- *)
 
@@ -58,7 +56,6 @@ type state = {
   s_dir : string;
   s_base : int;  (** meta's base_lsn (0 when absent or malformed) *)
   s_scan : Wal.scan_result;
-  s_snap : Catalog.t option;  (** decoded snapshot, pre-replay *)
   s_cat : Catalog.t option;  (** snapshot + clean WAL replay *)
 }
 
@@ -251,8 +248,8 @@ let replay_records acc dir ~base_lsn scan cat =
   in
   if ok then Some cat else None
 
-(* Replay onto a second decode of the snapshot: the caller keeps the
-   pristine decoded catalog for the graphs.bin comparison. *)
+(* Replay onto a fresh decode of the snapshot (or onto an empty catalog
+   when there is none). *)
 let materialize acc dir ~base_lsn scan =
   let cat =
     if Sys.file_exists (snapshot_path dir) then
@@ -346,50 +343,6 @@ let check_relation acc dir rel =
     emit acc Warning "F018" where "ambiguity constraint violated: %s"
       (Format.asprintf "%a" (Integrity.pp_conflict (Relation.schema rel)) conflict)
 
-let check_graphs acc dir snap =
-  let path = graphs_path dir in
-  match (snap, Sys.file_exists path) with
-  | None, _ -> ()
-  | Some _, false ->
-    emit acc Warning "F015" path
-      "graphs.bin is missing next to snapshot.bin (pre-sidecar checkpoint?); \
-       re-checkpoint to regenerate it"
-  | Some cat, true -> (
-    let data = read_file path in
-    match Graph_store.decode data with
-    | exception Graph_store.Corrupt_graphs msg ->
-      emit acc Warning "F015" path "graphs.bin does not decode: %s" msg
-    | stored ->
-      if not (String.equal (Graph_store.encode cat) data) then begin
-        let recomputed = Graph_store.of_catalog cat in
-        let names l = List.map fst l in
-        let missing =
-          List.filter (fun n -> not (List.mem n (names stored))) (names recomputed)
-        in
-        let extra =
-          List.filter (fun n -> not (List.mem n (names recomputed))) (names stored)
-        in
-        let differing =
-          List.filter_map
-            (fun (n, g) ->
-              match List.assoc_opt n stored with
-              | Some g' when g' <> g -> Some n
-              | _ -> None)
-            recomputed
-        in
-        let detail =
-          String.concat "; "
-            (List.filter_map
-               (fun (what, l) ->
-                 if l = [] then None
-                 else Some (what ^ " " ^ String.concat ", " l))
-               [ ("stale graph for", differing); ("missing", missing); ("orphaned", extra) ])
-        in
-        emit acc Critical "F014" path
-          "stored subsumption graphs differ from recomputation%s"
-          (if detail = "" then " (encoding drift)" else ": " ^ detail)
-      end)
-
 (* ---- one directory --------------------------------------------------- *)
 
 let inspect acc dir =
@@ -439,8 +392,7 @@ let inspect acc dir =
       List.iter (check_hierarchy acc dir) (Catalog.hierarchies cat);
       List.iter (check_relation acc dir) (Catalog.relations cat)
     | None -> ());
-    check_graphs acc dir snap;
-    Some { s_dir = dir; s_base = base_lsn; s_scan = scan; s_snap = snap; s_cat = cat }
+    Some { s_dir = dir; s_base = base_lsn; s_scan = scan; s_cat = cat }
   end
 
 (* ---- divergence ------------------------------------------------------ *)

@@ -6,7 +6,7 @@
     (type-irredundancy, §3.1 and Appendix), every relation's subsumption
     graph is the transitive reduction of the subsumption order (§2.1),
     and relations satisfy the ambiguity constraint. Once state is
-    persisted — snapshot, WAL, graph sidecar, replica copies — nothing
+    persisted — page store, snapshot, WAL, replica copies — nothing
     re-checks any of it. This module opens a directory {e read-only}
     (no lock is taken, nothing is written, no query is executed on
     behalf of a caller) and verifies:
@@ -20,8 +20,6 @@
     - the WAL replays cleanly onto the snapshot;
     - each hierarchy DAG is acyclic, irredundant (no redundant [isa]
       edges) and its reachability closure agrees with a naive traversal;
-    - [graphs.bin] (the checkpoint sidecar, {!Hr_storage.Graph_store})
-      is byte-equal to a recomputation from the snapshot;
     - each relation satisfies the ambiguity constraint;
     - optionally, a peer directory (primary vs replica) materializes to
       the same flattened state at the greatest common LSN.

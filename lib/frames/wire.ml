@@ -1,6 +1,7 @@
 exception Disconnected
 
 let max_frame = 64 * 1024 * 1024
+let max_header = 4096
 
 let repl_subscribe = "REPL_SUBSCRIBE"
 let repl_snapshot = "REPL_SNAPSHOT"
@@ -25,6 +26,8 @@ let frame tag payload = Printf.sprintf "%s %d\n%s" tag (String.length payload) p
 
 let send fd tag payload = write_all fd (frame tag payload)
 
+let header_too_long = Error "frame header too long"
+
 let read_line_fd fd =
   let buf = Buffer.create 64 in
   let byte = Bytes.make 1 ' ' in
@@ -33,7 +36,8 @@ let read_line_fd fd =
     | 0 -> raise Disconnected
     | _ ->
       let c = Bytes.get byte 0 in
-      if c = '\n' then Buffer.contents buf
+      if c = '\n' then Ok (Buffer.contents buf)
+      else if Buffer.length buf >= max_header then header_too_long
       else begin
         Buffer.add_char buf c;
         loop ()
@@ -65,8 +69,7 @@ let parse_header header =
     | Some len -> Ok (tag, len))
 
 let recv fd =
-  let header = read_line_fd fd in
-  match parse_header header with
+  match Result.bind (read_line_fd fd) parse_header with
   | Error _ as e -> e
   | Ok (tag, len) -> Ok (tag, read_exact fd len)
 
@@ -125,9 +128,8 @@ module Decoder = struct
 
   let next t =
     match find_newline t with
-    | None ->
-      if t.len - t.pos > 4096 then Error "frame header too long"
-      else Ok None
+    | None -> if t.len - t.pos > max_header then header_too_long else Ok None
+    | Some nl when nl - t.pos > max_header -> header_too_long
     | Some nl -> (
       let header = Bytes.sub_string t.buf t.pos (nl - t.pos) in
       match parse_header header with

@@ -25,6 +25,12 @@ val max_frame : int
 (** Upper bound on a payload (64 MiB — snapshot frames carry a whole
     catalog image). Anything larger is a protocol error. *)
 
+val max_header : int
+(** Upper bound on a header line, newline excluded (4096 bytes). Both
+    readers reject a longer header as a protocol error, so a peer that
+    never sends a newline cannot grow the reader's buffer without
+    limit. *)
+
 (** {1 Replication frame tags} *)
 
 val repl_subscribe : string
@@ -87,7 +93,7 @@ val send : Unix.file_descr -> string -> string -> unit
 
 val recv : Unix.file_descr -> (string * string, string) result
 (** Reads one whole frame, blocking. [Error] is a protocol error (bad
-    header, oversized length); EOF raises {!Disconnected}. *)
+    or over-long header, oversized length); EOF raises {!Disconnected}. *)
 
 (** {1 Incremental decoding} *)
 

@@ -43,41 +43,31 @@ let resolve_values schema values =
   in
   Item.make schema (Array.of_list coords)
 
-(* Static span names: picking the label by pattern match keeps a
-   disabled [with_span] allocation-free. *)
-let span_name e =
-  match e.Ast.expr with
-  | Ast.Rel _ -> "eval.rel"
-  | Ast.Select _ -> "eval.select"
-  | Ast.Project _ -> "eval.project"
-  | Ast.Join _ -> "eval.join"
-  | Ast.Union _ -> "eval.union"
-  | Ast.Intersect _ -> "eval.intersect"
-  | Ast.Except _ -> "eval.except"
-  | Ast.Rename _ -> "eval.rename"
-  | Ast.Consolidated _ -> "eval.consolidated"
-  | Ast.Explicated _ -> "eval.explicated"
-
-let rec eval_raw cat e =
-  Hr_obs.Trace.with_span (span_name e) (fun () ->
-      let result =
-        match e.Ast.expr with
-        | Ast.Rel name -> Catalog.relation cat name
-        | Ast.Select (e, attr, v) ->
-          Ops.select (eval_raw cat e) ~attr ~value:(Ast.value_name v)
-        | Ast.Project (e, attrs) -> Ops.project (eval_raw cat e) attrs
-        | Ast.Join (a, b) -> Ops.join (eval_raw cat a) (eval_raw cat b)
-        | Ast.Union (a, b) -> Ops.union (eval_raw cat a) (eval_raw cat b)
-        | Ast.Intersect (a, b) -> Ops.inter (eval_raw cat a) (eval_raw cat b)
-        | Ast.Except (a, b) -> Ops.diff (eval_raw cat a) (eval_raw cat b)
-        | Ast.Rename (e, old_name, new_name) ->
-          Ops.rename (eval_raw cat e) ~old_name ~new_name
-        | Ast.Consolidated e -> Consolidate.consolidate (eval_raw cat e)
-        | Ast.Explicated (e, over) -> Explicate.explicate ?over (eval_raw cat e)
-      in
-      if Hr_obs.Trace.enabled () then
-        Hr_obs.Trace.note "rows" (Relation.cardinality result);
-      result)
+(* The one dispatch from plan nodes to the relational operators. An
+   [observe] hook, when given, wraps every node: it receives the node
+   and the thunk that evaluates it (children included), and must return
+   that thunk's result — EXPLAIN ANALYZE measures each node this way. *)
+let rec eval_raw ?observe cat e =
+  let eval = eval_raw ?observe cat in
+  (* left operand first, so observers see children in plan order *)
+  let binary op a b =
+    let ra = eval a in
+    op ra (eval b)
+  in
+  let run () =
+    match e.Ast.expr with
+    | Ast.Rel name -> Catalog.relation cat name
+    | Ast.Select (e, attr, v) -> Ops.select (eval e) ~attr ~value:(Ast.value_name v)
+    | Ast.Project (e, attrs) -> Ops.project (eval e) attrs
+    | Ast.Join (a, b) -> binary Ops.join a b
+    | Ast.Union (a, b) -> binary Ops.union a b
+    | Ast.Intersect (a, b) -> binary Ops.inter a b
+    | Ast.Except (a, b) -> binary Ops.diff a b
+    | Ast.Rename (e, old_name, new_name) -> Ops.rename (eval e) ~old_name ~new_name
+    | Ast.Consolidated e -> Consolidate.consolidate (eval e)
+    | Ast.Explicated (e, over) -> Explicate.explicate ?over (eval e)
+  in
+  match observe with None -> run () | Some f -> f e run
 
 (* Statements evaluate optimized plans; the rewrites preserve the
    equivalent flat relation (see [Optimizer]). *)
@@ -89,7 +79,7 @@ let eval_expr cat expr = eval_raw cat (Optimizer.optimize expr)
    node's subtree, like the "actual time" convention of SQL EXPLAIN
    ANALYZE: the root row shows the whole query's cost. *)
 type analyzed = {
-  a_label : string;
+  a_plan : Ast.query_expr;
   a_rows : int;
   a_subs : int;  (* hierarchy.subsumption_checks delta *)
   a_reach : int;  (* graph.reach.queries delta *)
@@ -112,53 +102,43 @@ let node_label e =
   | Ast.Consolidated _ -> "consolidated"
   | Ast.Explicated _ -> "explicated"
 
-let rec analyze_raw cat e =
-  let subs name = Hr_obs.Metrics.counter_value name in
-  let t0 = Hr_obs.Metrics.now_ns () in
-  let subs0 = subs "hierarchy.subsumption_checks" in
-  let reach0 = subs "graph.reach.queries" in
-  let verd0 = subs "core.binding.verdicts" in
-  let probe0 = subs "core.binding.index_probes" in
-  let rel, children =
-    let one sub = let r, a = analyze_raw cat sub in (r, [ a ]) in
-    let two a b op =
-      let ra, aa = analyze_raw cat a in
-      let rb, ab = analyze_raw cat b in
-      (op ra rb, [ aa; ab ])
+(* Evaluates [plan] with an observer that diffs the work counters and
+   the clock around every node. [finished] holds the analyzed nodes
+   completed at the current depth, newest first: a node saves its
+   parent's list, collects its own children there, then joins the
+   parent's list. Counters are forced on for the duration so the
+   per-node deltas are real even if the process runs with the registry
+   disabled. *)
+let analyze cat plan =
+  let counter = Hr_obs.Metrics.counter_value in
+  let finished = ref [] in
+  let observe e run =
+    let t0 = Hr_obs.Metrics.now_ns () in
+    let subs0 = counter "hierarchy.subsumption_checks" in
+    let reach0 = counter "graph.reach.queries" in
+    let verd0 = counter "core.binding.verdicts" in
+    let probe0 = counter "core.binding.index_probes" in
+    let siblings = !finished in
+    finished := [];
+    let rel = run () in
+    let node =
+      {
+        a_plan = e;
+        a_rows = Relation.cardinality rel;
+        a_subs = counter "hierarchy.subsumption_checks" - subs0;
+        a_reach = counter "graph.reach.queries" - reach0;
+        a_verdicts = counter "core.binding.verdicts" - verd0;
+        a_probes = counter "core.binding.index_probes" - probe0;
+        a_time_ns = Hr_obs.Metrics.now_ns () - t0;
+        a_children = List.rev !finished;
+      }
     in
-    match e.Ast.expr with
-    | Ast.Rel name -> (Catalog.relation cat name, [])
-    | Ast.Select (sub, attr, v) ->
-      let r, kids = one sub in
-      (Ops.select r ~attr ~value:(Ast.value_name v), kids)
-    | Ast.Project (sub, attrs) ->
-      let r, kids = one sub in
-      (Ops.project r attrs, kids)
-    | Ast.Join (a, b) -> two a b (fun x y -> Ops.join x y)
-    | Ast.Union (a, b) -> two a b (fun x y -> Ops.union x y)
-    | Ast.Intersect (a, b) -> two a b (fun x y -> Ops.inter x y)
-    | Ast.Except (a, b) -> two a b (fun x y -> Ops.diff x y)
-    | Ast.Rename (sub, old_name, new_name) ->
-      let r, kids = one sub in
-      (Ops.rename r ~old_name ~new_name, kids)
-    | Ast.Consolidated sub ->
-      let r, kids = one sub in
-      (Consolidate.consolidate r, kids)
-    | Ast.Explicated (sub, over) ->
-      let r, kids = one sub in
-      (Explicate.explicate ?over r, kids)
+    finished := node :: siblings;
+    rel
   in
-  ( rel,
-    {
-      a_label = node_label e;
-      a_rows = Relation.cardinality rel;
-      a_subs = subs "hierarchy.subsumption_checks" - subs0;
-      a_reach = subs "graph.reach.queries" - reach0;
-      a_verdicts = subs "core.binding.verdicts" - verd0;
-      a_probes = subs "core.binding.index_probes" - probe0;
-      a_time_ns = Hr_obs.Metrics.now_ns () - t0;
-      a_children = children;
-    } )
+  Hr_obs.Metrics.with_enabled true (fun () ->
+      let rel = eval_raw ~observe cat plan in
+      (rel, List.hd !finished))
 
 let render_analyzed root =
   let buf = Buffer.create 512 in
@@ -167,7 +147,7 @@ let render_analyzed root =
       (Printf.sprintf
          "%s%s  rows=%d subsumption=%d reach=%d verdicts=%d probes=%d time=%.3fms\n"
          (String.make (2 * depth) ' ')
-         a.a_label a.a_rows a.a_subs a.a_reach a.a_verdicts a.a_probes
+         (node_label a.a_plan) a.a_rows a.a_subs a.a_reach a.a_verdicts a.a_probes
          (float_of_int a.a_time_ns /. 1e6));
     List.iter (walk (depth + 1)) a.a_children
   in
@@ -178,38 +158,22 @@ let render_analyzed root =
    the catalog's observed-statistics store, keyed the way the estimator
    looks them up — the whole stored extension of a scanned relation, or
    a selection directly over one. *)
-let rec record_actuals cat plan (a : analyzed) =
-  (match plan.Ast.expr, a.a_children with
-  | Ast.Rel name, _ -> Catalog.record_stat cat ~rel:name ~label:"*" a.a_rows
-  | Ast.Select ({ Ast.expr = Ast.Rel name; _ }, attr, v), _ ->
+let rec record_actuals cat (a : analyzed) =
+  (match a.a_plan.Ast.expr with
+  | Ast.Rel name -> Catalog.record_stat cat ~rel:name ~label:"*" a.a_rows
+  | Ast.Select ({ Ast.expr = Ast.Rel name; _ }, attr, v) ->
     Catalog.record_stat cat ~rel:name
       ~label:(Printf.sprintf "%s=%s" attr (Ast.value_name v))
       a.a_rows
   | _ -> ());
-  let children =
-    match plan.Ast.expr with
-    | Ast.Rel _ -> []
-    | Ast.Select (e, _, _)
-    | Ast.Project (e, _)
-    | Ast.Rename (e, _, _)
-    | Ast.Consolidated e
-    | Ast.Explicated (e, _) ->
-      [ e ]
-    | Ast.Join (x, y) | Ast.Union (x, y) | Ast.Intersect (x, y) | Ast.Except (x, y)
-      ->
-      [ x; y ]
-  in
-  List.iter2 (record_actuals cat) children a.a_children
+  List.iter (record_actuals cat) a.a_children
 
-(* Counters are forced on for the duration so the per-node deltas are
-   real even if the process runs with the registry disabled. *)
 let explain_analyze cat expr =
   let plan = Optimizer.optimize expr in
-  Hr_obs.Metrics.with_enabled true (fun () ->
-      let rel, root = analyze_raw cat plan in
-      record_actuals cat plan root;
-      Printf.sprintf "plan: %s\n%sresult: %d tuple(s)" (Optimizer.describe plan)
-        (render_analyzed root) (Relation.cardinality rel))
+  let rel, root = analyze cat plan in
+  record_actuals cat root;
+  Printf.sprintf "plan: %s\n%sresult: %d tuple(s)" (Optimizer.describe plan)
+    (render_analyzed root) (Relation.cardinality rel)
 
 (* ---- EXPLAIN ESTIMATE -------------------------------------------------- *)
 

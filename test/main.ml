@@ -9,7 +9,7 @@ let () =
       ("relation", Test_relation.suite);
       ("subsumption", Test_subsumption.suite);
       ("binding", Test_binding.suite);
-      ("index", Test_index.suite);
+      ("index", Test_binding.index_suite);
       ("integrity", Test_integrity.suite);
       ("consolidate", Test_consolidate.suite);
       ("explicate", Test_explicate.suite);

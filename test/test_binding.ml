@@ -1,8 +1,28 @@
 (* Truth-of-item tests: the paper's Figure 1 (flying creatures), Figure 4
-   (Clyde the royal elephant) and the Appendix preemption semantics. *)
+   (Clyde the royal elephant) and the Appendix preemption semantics.
+
+   Also here ([index_suite]): a differential harness for the one binding
+   index, {!Relation.candidates} behind {!Binding.verdict}, against a
+   reference that scans the whole relation body. *)
 
 module Hierarchy = Hr_hierarchy.Hierarchy
+module Workload = Hr_workload.Workload
+module Prng = Hr_util.Prng
 open Hierel
+
+(* Deterministic replay: seed printed up front, pinned with
+   [HRDB_TEST_SEED=n dune runtest]. *)
+let seed =
+  match Sys.getenv_opt "HRDB_TEST_SEED" with
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n -> n
+    | None -> failwith (Printf.sprintf "HRDB_TEST_SEED must be an integer, got %S" s))
+  | None -> Int64.to_int (Int64.rem (Int64.of_float (Unix.gettimeofday () *. 1e6)) 0xFFFFFFL)
+
+let () =
+  Printf.eprintf "test_binding: differential harness seed %d (replay with HRDB_TEST_SEED=%d)\n%!"
+    seed seed
 
 let fig1 () =
   let h = Fixtures.animals () in
@@ -199,6 +219,131 @@ let test_preference_edge_resolves () =
     (Binding.holds color appu_grey);
   ignore hc
 
+(* ---- the binding index against a body scan ---------------------------- *)
+
+(* The reference access path: every stored tuple, filtered by strict
+   subsumption — no bucket index involved. *)
+let scan_relevant rel item =
+  let schema = Relation.schema rel in
+  List.filter
+    (fun (t : Relation.tuple) -> Item.strictly_subsumes schema t.Relation.item item)
+    (Relation.tuples rel)
+
+(* [Binding.verdict]'s signature, over a given [relevant] access path. *)
+let verdict_via relevant ?semantics rel item =
+  Binding.decide ?semantics (Relation.schema rel) item ~exact:(Relation.find rel item)
+    ~relevant:(relevant rel item)
+
+let reference = verdict_via scan_relevant
+
+(* Binder order may legitimately differ between access paths. *)
+let canon v =
+  let items l = List.sort Item.compare (List.map (fun (t : Relation.tuple) -> t.Relation.item) l) in
+  match v with
+  | Binding.Asserted (s, binders) -> `Asserted (s, items binders)
+  | Binding.Unasserted -> `Unasserted
+  | Binding.Conflict { positive; negative } -> `Conflict (items positive, items negative)
+
+let semantics_all = [ Types.Off_path; Types.On_path; Types.No_preemption ]
+
+(* Every (item, semantics) pair of [items] on which [verdict] and the
+   scan reference disagree. *)
+let mismatches ?(verdict = Binding.verdict) rel items =
+  List.concat_map
+    (fun item ->
+      List.filter_map
+        (fun semantics ->
+          if canon (verdict ~semantics rel item) = canon (reference ~semantics rel item) then None
+          else Some (item, semantics))
+        semantics_all)
+    items
+
+let check_agrees ?verdict what rel items =
+  match mismatches ?verdict rel items with
+  | [] -> ()
+  | (item, semantics) :: _ as all ->
+    Alcotest.failf "%s: %d mismatch(es), first at %s under %s (seed %d)" what (List.length all)
+      (Item.to_string (Relation.schema rel) item)
+      (match semantics with
+      | Types.Off_path -> "off-path"
+      | Types.On_path -> "on-path"
+      | Types.No_preemption -> "no-preemption")
+      seed
+
+(* Every item of the relation's product hierarchy (all node tuples). *)
+let all_items rel =
+  let schema = Relation.schema rel in
+  let rec go i =
+    if i = Schema.arity schema then [ [] ]
+    else
+      let rest = go (i + 1) in
+      List.concat_map
+        (fun v -> List.map (fun tl -> v :: tl) rest)
+        (Hierarchy.nodes (Schema.hierarchy schema i))
+  in
+  List.map (fun coords -> Item.make schema (Array.of_list coords)) (go 0)
+
+(* Random consistent relations of arity 1 and 2, one fresh hierarchy per
+   attribute, all drawn from the printed seed. *)
+let random_relations () =
+  let g = Prng.create (Int64.of_int seed) in
+  let hierarchy k classes instances =
+    Workload.random_hierarchy (Prng.split g)
+      { Workload.name = Printf.sprintf "bh%d" k; classes; instances; multi_parent_prob = 0.25 }
+  in
+  let relation k schema tuples =
+    Workload.consistent_random_relation (Prng.split g) schema
+      { Workload.default_relation_spec with Workload.rel_name = Printf.sprintf "r%d" k; tuples }
+  in
+  List.init 40 (fun k -> relation k (Schema.make [ ("v", hierarchy k 8 12) ]) 12)
+  @ List.init 20 (fun k ->
+        let k = 100 + k in
+        let schema = Schema.make [ ("a", hierarchy k 4 5); ("b", hierarchy (k + 50) 3 4) ] in
+        relation k schema 8)
+
+let fixture_relations () =
+  let flies = Fixtures.flies (Fixtures.animals ()) in
+  let color = Fixtures.animal_color (Fixtures.elephants ()) (Fixtures.colors ()) in
+  [ flies; color ]
+
+let test_index_agrees_on_fig1 () =
+  let flies = Fixtures.flies (Fixtures.animals ()) in
+  check_agrees "fig1" flies (all_items flies)
+
+let test_index_relevant_same_set () =
+  let flies = Fixtures.flies (Fixtures.animals ()) in
+  List.iter
+    (fun item ->
+      let set l = List.sort Item.compare (List.map (fun (t : Relation.tuple) -> t.Relation.item) l) in
+      Alcotest.(check bool)
+        (Printf.sprintf "same relevant set at %s" (Item.to_string (Relation.schema flies) item))
+        true
+        (List.equal Item.equal (set (scan_relevant flies item)) (set (Binding.relevant flies item))))
+    (all_items flies)
+
+let test_index_multi_attribute () =
+  let color = Fixtures.animal_color (Fixtures.elephants ()) (Fixtures.colors ()) in
+  check_agrees "fig4 colors" color (all_items color)
+
+let test_index_differential () =
+  List.iter
+    (fun rel -> check_agrees (Relation.name rel) rel (all_items rel))
+    (random_relations ())
+
+(* The harness must see a seeded bug: an access path that loses the
+   last candidate changes some verdict on these relations. *)
+let test_harness_catches_dropped_candidate () =
+  let drop_last rel item =
+    match List.rev (Binding.relevant rel item) with [] -> [] | _ :: rest -> List.rev rest
+  in
+  let found =
+    List.fold_left
+      (fun n rel -> n + List.length (mismatches ~verdict:(verdict_via drop_last) rel (all_items rel)))
+      0
+      (fixture_relations () @ random_relations ())
+  in
+  Alcotest.(check bool) "dropped candidate reported as a mismatch" true (found > 0)
+
 let suite =
   [
     Alcotest.test_case "fig1: instance verdicts" `Quick test_fig1_verdicts;
@@ -217,4 +362,14 @@ let suite =
     Alcotest.test_case "appendix: no-preemption" `Quick test_no_preemption_conflicts_everywhere;
     Alcotest.test_case "appendix: preference edges" `Quick test_preference_edge_resolves;
     Alcotest.test_case "on-path over product items" `Quick test_on_path_multi_attribute;
+  ]
+
+let index_suite =
+  [
+    Alcotest.test_case "agrees on fig1" `Quick test_index_agrees_on_fig1;
+    Alcotest.test_case "same relevant set" `Quick test_index_relevant_same_set;
+    Alcotest.test_case "multi-attribute" `Quick test_index_multi_attribute;
+    Alcotest.test_case "indexed verdicts = scanned verdicts" `Quick test_index_differential;
+    Alcotest.test_case "harness catches a dropped candidate" `Quick
+      test_harness_catches_dropped_candidate;
   ]

@@ -1,7 +1,8 @@
 (* Frame-KR front end tests: the paper's §1 pitch, Clyde reconstructed
-   through frames. *)
+   through frames. Also the wire protocol's header-length bound. *)
 
 module Frames = Hr_frames.Frames
+module Wire = Hr_frames.Wire
 
 let elephant_kb () =
   let kb = Frames.create ~entity_domain:"animal" () in
@@ -106,6 +107,33 @@ let test_errors () =
     Alcotest.fail "unknown frame"
   with Frames.Kb_error _ -> ()
 
+(* [Wire.recv] on the far end of a socketpair after [bytes] were sent. *)
+let recv_after bytes =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close a; Unix.close b)
+    (fun () ->
+      ignore (Unix.write_substring a bytes 0 (String.length bytes));
+      Wire.recv b)
+
+(* A peer that sends header bytes but never a newline: the blocking
+   reader must stop at the header limit instead of buffering forever,
+   and the incremental decoder must agree. A header of exactly the
+   limit still reads. *)
+let test_header_limit () =
+  let header = String.make 5000 'A' in
+  (match recv_after header with
+  | Error msg -> Alcotest.(check string) "recv error" "frame header too long" msg
+  | Ok (tag, _) -> Alcotest.failf "recv accepted a 5000-byte header as %S" tag);
+  let dec = Wire.Decoder.create () in
+  Wire.Decoder.feed dec (Bytes.of_string header) (String.length header);
+  (match Wire.Decoder.next dec with
+  | Error msg -> Alcotest.(check string) "decoder error" "frame header too long" msg
+  | Ok _ -> Alcotest.fail "decoder accepted a 5000-byte header");
+  match recv_after (String.make (Wire.max_header - 2) 'T' ^ " 1\nx") with
+  | Ok (_, payload) -> Alcotest.(check string) "payload at the limit" "x" payload
+  | Error msg -> Alcotest.failf "header of exactly max_header bytes rejected: %s" msg
+
 let suite =
   [
     Alcotest.test_case "inheritance" `Quick test_inheritance;
@@ -118,4 +146,5 @@ let suite =
     Alcotest.test_case "HRQL interop" `Quick test_catalog_interop;
     Alcotest.test_case "listing" `Quick test_listing;
     Alcotest.test_case "errors" `Quick test_errors;
+    Alcotest.test_case "wire: header without newline is rejected" `Quick test_header_limit;
   ]

@@ -123,9 +123,9 @@ let test_redundant_isa_edge () =
       Alcotest.(check (list string)) "F012 and nothing else" [ "F012" ] (codes r);
       Alcotest.(check bool) "warning only" false (Fsck.has_critical r))
 
-(* Checkpoints are paged now, so the legacy-format checks (F003/F004,
-   F014/F015) construct by hand exactly what a pre-paged build's
-   checkpoint left behind: snapshot.bin + graphs.bin + truncated WAL. *)
+(* A legacy directory exactly as a pre-paged build's checkpoint left
+   it: snapshot.bin, a graphs.bin sidecar (which nothing reads any
+   more) and a truncated WAL. *)
 let build_catalog stmts =
   let cat = Hierel.Catalog.create () in
   List.iter
@@ -136,21 +136,20 @@ let build_catalog stmts =
     stmts;
   cat
 
-let write_legacy dir cat =
+let write_legacy_with_stray_graphs dir cat =
   Hr_storage.Snapshot.write_file cat (Filename.concat dir "snapshot.bin");
-  Hr_storage.Graph_store.write_file cat (graphs dir);
+  write_bytes (graphs dir) "stale subsumption-graph sidecar";
   write_bytes (wal dir) "";
   write_bytes (meta dir) "base_lsn=0\npublished_lsn=0\n"
 
-let test_stale_graphs_sidecar () =
+let test_stray_graphs_sidecar () =
   with_temp_dir (fun dir ->
-      write_legacy dir (build_catalog (world @ [ "INSERT INTO flies VALUES (- ALL penguin);" ]));
-      (* a sidecar from before the negation no longer matches the
-         snapshot's subsumption graphs *)
-      Hr_storage.Graph_store.write_file (build_catalog world) (graphs dir);
-      let r = Fsck.run dir in
-      Alcotest.(check (list string)) "F014 and nothing else" [ "F014" ] (codes r);
-      Alcotest.(check bool) "critical" true (Fsck.has_critical r))
+      write_legacy_with_stray_graphs dir (build_catalog world);
+      Alcotest.(check (list string)) "no findings" [] (codes (Fsck.run dir));
+      (* the first open migrates to pages and removes the sidecar *)
+      Db.close (Db.open_dir dir);
+      Alcotest.(check bool) "sidecar removed" false (Sys.file_exists (graphs dir));
+      Alcotest.(check (list string)) "clean after migration" [] (codes (Fsck.run dir)))
 
 let test_legacy_meta_without_snapshot () =
   with_temp_dir (fun dir ->
@@ -239,14 +238,6 @@ let test_torn_tail_truncated_on_reopen () =
         Alcotest.(check string) "negation applied" "- (by (V penguin))" out
       | Ok _ | Error _ -> Alcotest.fail "ask after reopen failed");
       Db.close db)
-
-let test_missing_graphs_sidecar () =
-  with_temp_dir (fun dir ->
-      write_legacy dir (build_catalog world);
-      Sys.remove (graphs dir);
-      let r = Fsck.run dir in
-      Alcotest.(check (list string)) "F015 and nothing else" [ "F015" ] (codes r);
-      Alcotest.(check bool) "warning only" false (Fsck.has_critical r))
 
 (* ---- seeded page-store corruption (F025–F029) -------------------------- *)
 
@@ -489,7 +480,7 @@ let suite =
     Alcotest.test_case "not a db dir" `Quick test_not_a_db_dir;
     Alcotest.test_case "seeded: flipped byte mid-wal" `Quick test_flipped_byte_mid_wal;
     Alcotest.test_case "seeded: redundant isa edge" `Quick test_redundant_isa_edge;
-    Alcotest.test_case "seeded: stale graphs sidecar" `Quick test_stale_graphs_sidecar;
+    Alcotest.test_case "stray graphs sidecar is ignored" `Quick test_stray_graphs_sidecar;
     Alcotest.test_case "seeded: mismatched base_lsn" `Quick test_mismatched_base_lsn;
     Alcotest.test_case "legacy meta without snapshot" `Quick
       test_legacy_meta_without_snapshot;
@@ -505,7 +496,6 @@ let suite =
     Alcotest.test_case "torn tail is a warning" `Quick test_torn_tail_is_warning;
     Alcotest.test_case "torn tail truncated on reopen" `Quick
       test_torn_tail_truncated_on_reopen;
-    Alcotest.test_case "missing graphs sidecar" `Quick test_missing_graphs_sidecar;
     Alcotest.test_case "ambiguity violation" `Quick test_ambiguous_relation;
     Alcotest.test_case "divergence detected" `Quick test_divergence_detected;
     Alcotest.test_case "caught-up replica is clean" `Quick test_caught_up_replica_clean;

@@ -2,8 +2,8 @@
 
    - counters are monotonic whatever update sequence is applied;
    - histograms conserve the observation count across their buckets;
-   - trace spans are well-nested, both hand-built and as produced by the
-     evaluator's instrumentation;
+   - trace spans are well-nested;
+   - the evaluator's per-node observer sees every plan node once;
    - a disabled sink is semantically invisible: the same script yields
      byte-identical output, and no counter moves;
    - EXPLAIN ANALYZE's plan tree is pinned by a golden file (timings
@@ -114,33 +114,54 @@ let prop_spans_well_nested =
       && List.length roots = 1
       && List.for_all Trace.well_nested roots)
 
-let eval_spans_well_nested () =
+(* The evaluator's per-node observer (what EXPLAIN ANALYZE hooks into)
+   sees every plan node exactly once and cannot change the result; the
+   evaluator itself records no trace spans. *)
+let eval_observer_sees_every_node () =
   let cat = Catalog.create () in
   let script =
-    {|CREATE DOMAIN span_being;
-      CREATE CLASS span_bird UNDER span_being;
-      CREATE INSTANCE span_tweety OF span_bird;
-      CREATE RELATION span_flies (creature: span_being);
-      INSERT INTO span_flies VALUES (+ ALL span_bird);|}
+    {|CREATE DOMAIN obs_being;
+      CREATE CLASS obs_bird UNDER obs_being;
+      CREATE INSTANCE obs_tweety OF obs_bird;
+      CREATE RELATION obs_flies (creature: obs_being);
+      CREATE RELATION obs_sings (creature: obs_being);
+      INSERT INTO obs_flies VALUES (+ ALL obs_bird);
+      INSERT INTO obs_sings VALUES (+ obs_tweety);|}
   in
   (match Eval.run_script cat script with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "setup failed: %s" e);
-  let result, roots =
-    Trace.collect (fun () ->
-        Eval.run_script cat "LET span_sel = SELECT span_flies WHERE creature = span_tweety;")
+  let plan =
+    match
+      (Hr_query.Parser.parse_statement
+         "EXPLAIN PLAN SELECT (obs_flies UNION obs_sings) WHERE creature = obs_tweety;")
+        .Hr_query.Ast.stmt
+    with
+    | Hr_query.Ast.Explain_plan e -> e
+    | _ -> Alcotest.fail "not an expression"
   in
-  (match result with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "query failed: %s" e);
-  Alcotest.(check bool) "evaluator produced spans" true (roots <> []);
-  Alcotest.(check bool) "all roots well-nested" true (List.for_all Trace.well_nested roots);
-  Alcotest.(check bool)
-    "rows note attached somewhere" true
-    (let rec has_note s =
-       List.mem_assoc "rows" (Trace.notes s) || List.exists has_note (Trace.children s)
-     in
-     List.exists has_note roots)
+  let rec nodes (e : Hr_query.Ast.query_expr) =
+    1
+    +
+    match e.Hr_query.Ast.expr with
+    | Hr_query.Ast.Rel _ -> 0
+    | Select (e, _, _) | Project (e, _) | Rename (e, _, _) | Consolidated e | Explicated (e, _)
+      ->
+      nodes e
+    | Join (a, b) | Union (a, b) | Intersect (a, b) | Except (a, b) -> nodes a + nodes b
+  in
+  let seen = ref [] in
+  let observe e run =
+    let r = run () in
+    seen := e :: !seen;
+    r
+  in
+  let observed, roots = Trace.collect (fun () -> Eval.eval_raw ~observe cat plan) in
+  Alcotest.(check int) "every node observed once" (nodes plan) (List.length !seen);
+  Alcotest.(check bool) "root finishes last" true (List.hd !seen == plan);
+  Alcotest.(check bool) "same result unobserved" true
+    (Relation.equal observed (Eval.eval_raw cat plan));
+  Alcotest.(check int) "no evaluator spans" 0 (List.length roots)
 
 (* ---- a disabled sink changes nothing ---------------------------------- *)
 
@@ -268,7 +289,8 @@ let suite =
       prop_spans_well_nested;
     ]
   @ [
-      Alcotest.test_case "evaluator spans are well-nested" `Quick eval_spans_well_nested;
+      Alcotest.test_case "evaluator observer sees every node" `Quick
+        eval_observer_sees_every_node;
       Alcotest.test_case "disabled sink is byte-identical" `Quick disabled_sink_identical;
       Alcotest.test_case "EXPLAIN ANALYZE golden output" `Quick explain_analyze_golden;
       Alcotest.test_case "STATS text and JSON" `Quick stats_statement;

@@ -1,8 +1,7 @@
-(* Pager and heap-file tests: page I/O, buffer pool behaviour, slotted
-   rows, persistence across reopen. *)
+(* Pager tests: page I/O, buffer pool behaviour, persistence across
+   reopen. *)
 
 module Pager = Hr_storage.Pager
-module Heap_file = Hr_storage.Heap_file
 
 let with_temp_file f =
   let path = Filename.temp_file "hrpage" ".db" in
@@ -140,53 +139,6 @@ let test_out_of_range () =
        with Invalid_argument _ -> ());
       Pager.close p)
 
-let test_heap_append_scan () =
-  with_temp_file (fun path ->
-      let h = Heap_file.create path in
-      let rows = List.init 100 (fun i -> Printf.sprintf "row-%04d" i) in
-      List.iter (Heap_file.append h) rows;
-      Alcotest.(check int) "count" 100 (Heap_file.row_count h);
-      Alcotest.(check (list string)) "order preserved" rows (Heap_file.rows h);
-      Heap_file.close h)
-
-let test_heap_spills_pages () =
-  with_temp_file (fun path ->
-      let h = Heap_file.create path in
-      let big = String.make 1000 'r' in
-      for _ = 1 to 20 do
-        Heap_file.append h big
-      done;
-      Alcotest.(check bool) "several pages" true (Heap_file.page_count h > 1);
-      Alcotest.(check int) "all rows" 20 (Heap_file.row_count h);
-      Heap_file.close h)
-
-let test_heap_oversize_rejected () =
-  with_temp_file (fun path ->
-      let h = Heap_file.create path in
-      (try
-         Heap_file.append h (String.make 5000 'x');
-         Alcotest.fail "expected Invalid_argument"
-       with Invalid_argument _ -> ());
-      Heap_file.close h)
-
-let test_heap_persistence () =
-  with_temp_file (fun path ->
-      let h = Heap_file.create path in
-      Heap_file.append h "alpha";
-      Heap_file.append h "beta";
-      Heap_file.close h;
-      let h2 = Heap_file.create path in
-      Alcotest.(check (list string)) "rows survive" [ "alpha"; "beta" ] (Heap_file.rows h2);
-      Heap_file.close h2)
-
-let test_heap_empty_rows_ok () =
-  with_temp_file (fun path ->
-      let h = Heap_file.create path in
-      Heap_file.append h "";
-      Heap_file.append h "x";
-      Alcotest.(check (list string)) "empty row kept" [ ""; "x" ] (Heap_file.rows h);
-      Heap_file.close h)
-
 let suite =
   [
     Alcotest.test_case "allocate / read / write" `Quick test_allocate_and_rw;
@@ -199,9 +151,4 @@ let suite =
     Alcotest.test_case "repair_partial truncates a torn page" `Quick
       test_repair_partial_truncates;
     Alcotest.test_case "out of range" `Quick test_out_of_range;
-    Alcotest.test_case "heap append/scan" `Quick test_heap_append_scan;
-    Alcotest.test_case "heap spills across pages" `Quick test_heap_spills_pages;
-    Alcotest.test_case "oversize row rejected" `Quick test_heap_oversize_rejected;
-    Alcotest.test_case "heap persistence" `Quick test_heap_persistence;
-    Alcotest.test_case "empty rows" `Quick test_heap_empty_rows_ok;
   ]
