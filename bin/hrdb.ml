@@ -423,12 +423,12 @@ let fsck_cmd =
       `P
         "Opens the directory read-only (no lock is taken, nothing is written) \
          and checks WAL framing and LSN continuity, snapshot decode and \
-         round-trip, page-store seals and B-tree/heap agreement, hierarchy \
+         round-trip, page-store seals and heap records, hierarchy \
          DAG acyclicity and irredundancy, the ambiguity constraint, and — \
          with $(b,--against) — primary/replica convergence, or, when the \
          argument is a shard-map file, sharded placement (misplaced tuples, \
          cross-subtree replicas, DDL agreement). Finding codes \
-         (F001..F029) are stable; see docs/FSCK.md.";
+         (F001..F025) are stable; see docs/FSCK.md.";
       `P
         "Exits 0 when the directory is clean, 1 when only warning-severity \
          findings were reported, 2 on any critical finding.";

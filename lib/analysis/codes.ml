@@ -388,22 +388,6 @@ let all =
       "Restore from a replica or a snapshot image; the shadow-paged \
        commit never overwrites the previous root, so the prior epoch \
        may still open.";
-    fc "F026" "dangling TID"
-      "A B-tree index entry points at a tombstoned or absent tuple slot."
-      "Rebuild the store from a snapshot image (hrdb dump + restore).";
-    fc "F027" "duplicate TID reference"
-      "One tuple slot is referenced twice by the index under the same \
-       attribute; binding lookups would double-count it."
-      "Rebuild the store from a snapshot image.";
-    fc "F028" "B-tree order violation"
-      "Keys out of order, a separator interval breached, or an index \
-       key that disagrees with the tuple its TID addresses."
-      "Rebuild the store from a snapshot image.";
-    fw "F029" "free-space map inaccurate"
-      "A free-space map entry disagrees with the page it describes; \
-       placement may waste space or retry, but stored data is intact."
-      "Harmless to data; re-checkpoint after the next mutation of the \
-       affected page, or rebuild to repack.";
   ]
 
 let find code =

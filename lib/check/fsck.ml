@@ -95,13 +95,14 @@ let check_meta acc dir =
         emit acc Warning "F002" path "meta is malformed: %S" line;
         0)
 
-(* Page-level battery (F025–F029) for paged directories: open the page
-   store, sweep the page seals, B-tree, index↔heap agreement and
-   free-space map, and hand back the materialized catalog plus the LSN
-   the store covers through. A partial trailing page is a warning —
-   only a crash mid-extension leaves one, and the commit ordering
-   (data flushed before the meta-root swap) guarantees no committed
-   state references it. *)
+(* Page-level battery (F025) for paged directories: open the page
+   store, sweep the page seals and heap records, and hand back the
+   materialized catalog plus the LSN the store covers through. A
+   version-1 store is checked as it stands: its meta decode skips the
+   retired B-tree and free-space-map fields. A partial trailing page is
+   a warning — only a crash mid-extension leaves one, and the commit
+   ordering (data flushed before the meta-root swap) guarantees no
+   committed state references it. *)
 let check_pages acc dir =
   let path = pages_path dir in
   let size = (Unix.stat path).Unix.st_size in
@@ -119,13 +120,7 @@ let check_pages acc dir =
       ~finally:(fun () -> Page_store.close store)
       (fun () ->
         List.iter
-          (fun { Page_store.kind; detail } ->
-            match kind with
-            | Page_store.Checksum -> emit acc Critical "F025" path "%s" detail
-            | Page_store.Dangling_tid -> emit acc Critical "F026" path "%s" detail
-            | Page_store.Duplicate_tid -> emit acc Critical "F027" path "%s" detail
-            | Page_store.Btree_order -> emit acc Critical "F028" path "%s" detail
-            | Page_store.Freemap -> emit acc Warning "F029" path "%s" detail)
+          (fun detail -> emit acc Critical "F025" path "%s" detail)
           (Page_store.check store);
         match Page_store.to_catalog store with
         | cat -> Some (cat, Page_store.base_lsn store)

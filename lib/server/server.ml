@@ -646,6 +646,10 @@ let accept_conn t =
   match Unix.accept t.socket with
   | fd, _ ->
     Hr_obs.Metrics.incr m_connections;
+    (* Replies are small and pipelined: with Nagle's algorithm on, every
+       reply after the first of a burst waits for the peer's delayed ACK
+       (~40 ms on Linux). *)
+    Unix.setsockopt fd Unix.TCP_NODELAY true;
     (* event-loop connections are non-blocking so buffered writes (and
        stray reads) can never stall the loop *)
     Unix.set_nonblock fd;
@@ -787,6 +791,7 @@ let serve_forever t =
 let serve_one_connection t =
   let fd, _ = Unix.accept t.socket in
   Hr_obs.Metrics.incr m_connections;
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
   (* blocking fd; the reply must be complete when [commit_now] returns *)
   let conn = new_conn ~inline_only:true fd in
   t.conns <- conn :: t.conns;
@@ -838,6 +843,9 @@ module Client = struct
 
   let connect ?(host = "127.0.0.1") ?timeout ~port () =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    (* pipelining callers (the router's shard writes) must not have a
+       request held back by Nagle's algorithm *)
+    Unix.setsockopt fd Unix.TCP_NODELAY true;
     let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
     (match timeout with
     | None -> (

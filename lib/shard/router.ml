@@ -745,6 +745,7 @@ let accept_all t =
   let rec loop () =
     match Unix.accept t.socket with
     | fd, _ ->
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
       Unix.set_nonblock fd;
       t.clients <-
         t.clients

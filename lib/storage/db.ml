@@ -116,7 +116,16 @@ let open_dir ?(auto_checkpoint_every = 10_000) ?(fsync = true) dir =
          re-runs the deep checks. Recovery reads the page store and
          replays the WAL tail onto it — no monolithic snapshot decode. *)
       let s = Page_store.open_ pages in
-      (s, Page_store.to_catalog s)
+      let catalog = Page_store.to_catalog s in
+      if Page_store.version s = Page_store.meta_version then (s, catalog)
+      else begin
+        (* An older format is rewritten whole, never written in place:
+           its retired B-tree and free-space-map pages go with the old
+           file. *)
+        let base_lsn = Page_store.base_lsn s in
+        Page_store.close s;
+        build_store ~fsync ~base_lsn pages catalog
+      end
     end
     else begin
       (* First open of a legacy (snapshot.bin) or fresh directory:

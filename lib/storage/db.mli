@@ -1,10 +1,10 @@
 (** A durable database: paged tuple store + write-ahead log + HRQL.
 
     A database lives in a directory holding [pages.db] (the
-    {!Page_store}: shadow-paged slotted tuple pages, B-tree index,
-    free-space map and DDL blob), [wal.log] (statements applied since
-    the last checkpoint, {!Wal} format) and [meta] (the LSN the store is
-    valid through). {!open_dir} loads the page store and replays the log
+    {!Page_store}: shadow-paged slotted tuple pages and a DDL blob),
+    [wal.log] (statements applied since the last checkpoint, {!Wal}
+    format) and [meta] (the LSN the store is valid through).
+    {!open_dir} loads the page store and replays the log
     onto it; {!exec} runs HRQL statements, appending each successful
     mutating statement to the log before acknowledging it (so
     acknowledged implies replayable — rejected updates are never logged
@@ -15,7 +15,9 @@
     recovers every acknowledged statement.
 
     Directories written by pre-paged builds ([snapshot.bin]) are
-    migrated on first open; the {!Snapshot} codec survives as the
+    migrated on first open, and a [pages.db] of meta version 1 (with
+    its B-tree and free-space map) is rebuilt in the current format;
+    the {!Snapshot} codec survives as the
     interchange format for replica bootstrap and [fsck --against].
 
     Every logged statement carries a {e log sequence number} (LSN):

@@ -1,13 +1,13 @@
 (* The paged durable store: all state lives in one [pages.db] file of
    4 KiB pages behind {!Pager}. Tuples sit in slotted heap pages and are
-   addressed by TIDs; a {!Btree} keyed on (relation, attribute, label)
-   indexes every tuple coordinate; a free-space map page set records
-   per-heap-page fill; a small DDL blob (a skeleton {!Snapshot} plus the
-   relation-id map) carries hierarchies, schemas and observed stats.
+   addressed by TIDs; a small DDL blob (a skeleton {!Snapshot} plus the
+   relation-id map) carries hierarchies, schemas and observed stats. The
+   heap is the only tuple structure on disk: the TID and free-space
+   tables a writer needs are rebuilt by the heap scan in {!to_catalog}.
 
    Durability is shadow paging: committed pages are never overwritten.
    A logical->physical page table gives every page a stable logical id
-   (TIDs and B-tree child pointers use logical ids); the first
+   (TIDs use logical ids); the first
    modification of a logical page in a checkpoint cycle relocates it to
    a free physical page. Commit stamps each dirty page with its logical
    id and a CRC, flushes and fsyncs data, writes a fresh page table,
@@ -31,14 +31,11 @@ let g_total = Hr_obs.Metrics.gauge "storage.checkpoint.pages_total"
 let page_size = Pager.page_size
 let header = 16
 let tag_heap = 1
-let tag_freemap = 2
-(* 3 and 4 are the B-tree's leaf/internal tags *)
+(* 2, 3 and 4 tagged the free-space map and B-tree leaf/internal pages
+   of meta version 1; retired, never reused *)
 let tag_blob = 5
 let meta_magic = "HRPGMETA"
-let meta_version = 1
-
-(* Free-space map entries are 8 bytes: [u32 heap page][u16 free][u16 live]. *)
-let fm_per_page = (page_size - header) / 8
+let meta_version = 2
 let pt_per_page = page_size / 4
 
 let get_u16 b off = Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
@@ -63,15 +60,12 @@ type t = {
   mutable free_phys : int list;
   mutable pending_free : int list; (* physicals released after the next commit *)
   mutable pt_pages : int list; (* physical pages holding the live page table *)
-  mutable btree_root : int; (* logical *)
+  mutable version : int; (* meta format the store was read at *)
   mutable blob : string;
   mutable blob_pages : int list; (* logical *)
-  mutable freemap_pages : int list; (* logical, in slot order *)
-  mutable fm_next_slot : int;
   shadowed : (int, unit) Hashtbl.t; (* logicals already relocated this cycle *)
   dirty : (int, unit) Hashtbl.t;
-  free_space : (int, int * int) Hashtbl.t; (* heap logical -> (free, live) *)
-  fm_slot : (int, int) Hashtbl.t; (* heap logical -> freemap slot *)
+  free_space : (int, int) Hashtbl.t; (* heap logical -> free bytes *)
   mutable fill_page : int option; (* current insertion target *)
   mutable rel_ids : (string * int) list;
   mutable next_rel_id : int;
@@ -148,14 +142,6 @@ let free_logical_page t l =
   Hashtbl.remove t.dirty l;
   Hashtbl.remove t.shadowed l
 
-let bt_pages t =
-  {
-    Btree.read = (fun l -> read_logical t l);
-    modify = (fun l f -> modify_logical t l f);
-    alloc = (fun () -> alloc_logical t);
-    free = (fun l -> free_logical_page t l);
-  }
-
 (* ---- meta pages -------------------------------------------------------- *)
 
 let encode_meta t ~epoch ~base_lsn ~pt_pages =
@@ -165,9 +151,7 @@ let encode_meta t ~epoch ~base_lsn ~pt_pages =
   W.u32 w epoch;
   W.u32 w base_lsn;
   W.u32 w t.n_logical;
-  W.u32 w t.btree_root;
   W.list w W.u32 t.blob_pages;
-  W.list w W.u32 t.freemap_pages;
   W.list w W.u32 pt_pages;
   let body = W.contents w in
   if String.length body + 4 > page_size then
@@ -180,15 +164,17 @@ let encode_meta t ~epoch ~base_lsn ~pt_pages =
   page
 
 type meta = {
+  m_version : int;
   m_epoch : int;
   m_base_lsn : int;
   m_n_logical : int;
-  m_btree_root : int;
   m_blob_pages : int list;
-  m_freemap_pages : int list;
   m_pt_pages : int list;
 }
 
+(* Version 1 also carried a B-tree root and the free-space map's page
+   list; both are skipped here, and their pages stay mapped but unread
+   until {!Db.open_dir} rebuilds the file. *)
 let decode_meta page =
   try
     let body = Bytes.sub_string page 0 (page_size - 4) in
@@ -197,16 +183,18 @@ let decode_meta page =
     else begin
       let r = R.of_string body in
       if R.string r <> meta_magic then None
-      else if R.u32 r <> meta_version then None
       else
-        let m_epoch = R.u32 r in
-        let m_base_lsn = R.u32 r in
-        let m_n_logical = R.u32 r in
-        let m_btree_root = R.u32 r in
-        let m_blob_pages = R.list r R.u32 in
-        let m_freemap_pages = R.list r R.u32 in
-        let m_pt_pages = R.list r R.u32 in
-        Some { m_epoch; m_base_lsn; m_n_logical; m_btree_root; m_blob_pages; m_freemap_pages; m_pt_pages }
+        let m_version = R.u32 r in
+        if m_version <> 1 && m_version <> meta_version then None
+        else
+          let m_epoch = R.u32 r in
+          let m_base_lsn = R.u32 r in
+          let m_n_logical = R.u32 r in
+          if m_version = 1 then ignore (R.u32 r);
+          let m_blob_pages = R.list r R.u32 in
+          if m_version = 1 then ignore (R.list r R.u32);
+          let m_pt_pages = R.list r R.u32 in
+          Some { m_version; m_epoch; m_base_lsn; m_n_logical; m_blob_pages; m_pt_pages }
     end
   with R.Corrupt _ -> None
 
@@ -276,91 +264,27 @@ let decode_record s =
   (rel_id, sign, labels)
 
 let labels_key labels = String.concat "\x00" labels
-let split_key key = String.split_on_char '\x00' key
-
-(* B-tree key: rel id and attribute index big-endian (so byte order
-   groups by relation then attribute), then the label, truncated to the
-   tree's key bound. Truncation is safe: readers post-filter on the
-   record's full label. *)
-let bt_key ~rel_id ~attr label =
-  let lab =
-    if String.length label > Btree.max_key - 6 then String.sub label 0 (Btree.max_key - 6)
-    else label
-  in
-  let b = Bytes.create (6 + String.length lab) in
-  Bytes.set b 0 (Char.chr ((rel_id lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((rel_id lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((rel_id lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (rel_id land 0xff));
-  Bytes.set b 4 (Char.chr ((attr lsr 8) land 0xff));
-  Bytes.set b 5 (Char.chr (attr land 0xff));
-  Bytes.blit_string lab 0 b 6 (String.length lab);
-  Bytes.to_string b
-
-let parse_bt_key key =
-  let byte i = Char.code key.[i] in
-  let rel_id = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-  let attr = (byte 4 lsl 8) lor byte 5 in
-  (rel_id, attr, String.sub key 6 (String.length key - 6))
-
-(* ---- free-space map ----------------------------------------------------
-
-   One 8-byte entry per heap page at a fixed slot assigned on the page's
-   first use; slot s lives in freemap page s / fm_per_page at index
-   s mod fm_per_page. Entries 0 .. count-1 of each freemap page are
-   valid (slots are handed out sequentially and never reclaimed). *)
-
-let fm_update t heap_l =
-  let free, live =
-    match Hashtbl.find_opt t.free_space heap_l with Some fl -> fl | None -> (0, 0)
-  in
-  let slot =
-    match Hashtbl.find_opt t.fm_slot heap_l with
-    | Some s -> s
-    | None ->
-      let s = t.fm_next_slot in
-      t.fm_next_slot <- s + 1;
-      Hashtbl.replace t.fm_slot heap_l s;
-      if s / fm_per_page >= List.length t.freemap_pages then begin
-        let l = alloc_logical t in
-        modify_logical t l (fun b ->
-            Bytes.fill b 0 page_size '\000';
-            Bytes.set b 0 (Char.chr tag_freemap));
-        t.freemap_pages <- t.freemap_pages @ [ l ]
-      end;
-      s
-  in
-  let fm_l = List.nth t.freemap_pages (slot / fm_per_page) in
-  let idx = slot mod fm_per_page in
-  modify_logical t fm_l (fun b ->
-      let count = get_u16 b 2 in
-      if idx >= count then set_u16 b 2 (idx + 1);
-      let off = header + (8 * idx) in
-      set_u32 b off heap_l;
-      set_u16 b (off + 4) (max 0 free);
-      set_u16 b (off + 6) live)
 
 (* ---- tuple insert / delete --------------------------------------------- *)
 
 let alloc_heap_page t =
   let l = alloc_logical t in
   modify_logical t l init_heap_page;
-  Hashtbl.replace t.free_space l (page_size - header, 0);
-  fm_update t l;
+  Hashtbl.replace t.free_space l (page_size - header);
   l
 
-(* First fit: the sticky fill page, then the free-space map, then a
+(* First fit: the sticky fill page, then the free-space table, then a
    fresh page. [need] is conservative (assumes a fresh slot). *)
 let place t need =
   let fits l =
-    match Hashtbl.find_opt t.free_space l with Some (free, _) -> free >= need | None -> false
+    match Hashtbl.find_opt t.free_space l with Some free -> free >= need | None -> false
   in
   match t.fill_page with
   | Some l when fits l -> l
   | _ ->
     let found = ref None in
     (try
-       Hashtbl.iter (fun l (free, _) -> if free >= need then (found := Some l; raise Exit)) t.free_space
+       Hashtbl.iter (fun l free -> if free >= need then (found := Some l; raise Exit)) t.free_space
      with Exit -> ());
     let l = match !found with Some l -> l | None -> alloc_heap_page t in
     t.fill_page <- Some l;
@@ -409,43 +333,30 @@ let insert_tuple t ~rel ~rel_id ~sign labels =
       set_u16 b 6 (live + 1);
       set_u16 b 4 off;
       slot := si);
-  let free, live =
-    match Hashtbl.find_opt t.free_space l with Some fl -> fl | None -> (0, 0)
-  in
-  Hashtbl.replace t.free_space l ((free - len - if !new_slot then 4 else 0), live + 1);
-  fm_update t l;
+  let free = Option.value (Hashtbl.find_opt t.free_space l) ~default:0 in
+  Hashtbl.replace t.free_space l (free - len - if !new_slot then 4 else 0);
   let tid = tid_of ~page:l ~slot:!slot in
-  let pages = bt_pages t in
-  List.iteri
-    (fun attr label ->
-      t.btree_root <- Btree.insert pages ~root:t.btree_root ~key:(bt_key ~rel_id ~attr label) ~tid)
-    labels;
-  Hashtbl.replace (rel_tids t rel) (labels_key labels) tid;
-  tid
+  Hashtbl.replace (rel_tids t rel) (labels_key labels) tid
 
-let delete_tuple t ~rel ~rel_id labels =
+(* Deletes give back the record's bytes; the slot stays, reusable. *)
+let tombstone t tid =
+  let l = tid_page tid and s = tid_slot tid in
+  let len = ref 0 in
+  modify_logical t l (fun b ->
+      len := get_u16 b (slot_off s + 2);
+      set_u16 b (slot_off s) 0;
+      set_u16 b (slot_off s + 2) 0;
+      set_u16 b 6 (get_u16 b 6 - 1));
+  let free = Option.value (Hashtbl.find_opt t.free_space l) ~default:0 in
+  Hashtbl.replace t.free_space l (free + !len)
+
+let delete_tuple t ~rel labels =
   let key = labels_key labels in
   let tbl = rel_tids t rel in
   match Hashtbl.find_opt tbl key with
   | None -> ()
   | Some tid ->
-    let l = tid_page tid and s = tid_slot tid in
-    let len = ref 0 in
-    modify_logical t l (fun b ->
-        len := get_u16 b (slot_off s + 2);
-        set_u16 b (slot_off s) 0;
-        set_u16 b (slot_off s + 2) 0;
-        set_u16 b 6 (get_u16 b 6 - 1));
-    let free, live =
-      match Hashtbl.find_opt t.free_space l with Some fl -> fl | None -> (0, 1)
-    in
-    Hashtbl.replace t.free_space l (free + !len, live - 1);
-    fm_update t l;
-    let pages = bt_pages t in
-    List.iteri
-      (fun attr label ->
-        t.btree_root <- Btree.delete pages ~root:t.btree_root ~key:(bt_key ~rel_id ~attr label) ~tid)
-      labels;
+    tombstone t tid;
     Hashtbl.remove tbl key
 
 (* ---- DDL blob ----------------------------------------------------------
@@ -550,6 +461,8 @@ let stamp_crc b =
   set_u32 b 12 crc
 
 let commit t ?(fsync = true) ~base_lsn () =
+  if t.version <> meta_version then
+    invalid_arg "Page_store.commit: an older-format store is rebuilt, not written in place";
   (* 1. seal every dirty page: logical id + CRC in the shared header *)
   let dirty = Hashtbl.fold (fun l () acc -> if t.pt.(l) <> 0 then l :: acc else acc) t.dirty [] in
   List.iter
@@ -607,15 +520,12 @@ let fresh pager =
     free_phys = [];
     pending_free = [];
     pt_pages = [];
-    btree_root = 0;
+    version = meta_version;
     blob = "";
     blob_pages = [];
-    freemap_pages = [];
-    fm_next_slot = 0;
     shadowed = Hashtbl.create 64;
     dirty = Hashtbl.create 64;
     free_space = Hashtbl.create 64;
-    fm_slot = Hashtbl.create 64;
     fill_page = None;
     rel_ids = [];
     next_rel_id = 1;
@@ -628,9 +538,7 @@ let create ?(pool_pages = 256) path =
   (* physicals 0 and 1 are the two meta slots, forever *)
   ignore (Pager.allocate pager);
   ignore (Pager.allocate pager);
-  let t = fresh pager in
-  t.btree_root <- Btree.create (bt_pages t);
-  t
+  fresh pager
 
 let open_ ?(pool_pages = 256) path =
   let pager = Pager.create ~pool_pages ~repair_partial:true path in
@@ -646,12 +554,11 @@ let open_ ?(pool_pages = 256) path =
     | None, None -> corrupt "%s: both meta pages are corrupt" path
   in
   let t = fresh pager in
+  t.version <- pick.m_version;
   t.epoch <- pick.m_epoch;
   t.base_lsn <- pick.m_base_lsn;
   t.n_logical <- pick.m_n_logical;
-  t.btree_root <- pick.m_btree_root;
   t.blob_pages <- pick.m_blob_pages;
-  t.freemap_pages <- pick.m_freemap_pages;
   t.pt_pages <- pick.m_pt_pages;
   t.pt <- Array.make (max 64 pick.m_n_logical) 0;
   (* page table *)
@@ -692,105 +599,90 @@ let open_ ?(pool_pages = 256) path =
   let _, rel_ids, next = decode_blob t.blob in
   t.rel_ids <- rel_ids;
   t.next_rel_id <- max 1 next;
-  (* free-space map *)
-  List.iteri
-    (fun ordinal l ->
-      let b = read_logical t l in
-      if Char.code (Bytes.get b 0) <> tag_freemap then corrupt "page %d is not a freemap page" l;
-      let count = get_u16 b 2 in
-      for j = 0 to count - 1 do
-        let off = header + (8 * j) in
-        let heap_l = get_u32 b off in
-        Hashtbl.replace t.free_space heap_l (get_u16 b (off + 4), get_u16 b (off + 6));
-        Hashtbl.replace t.fm_slot heap_l ((ordinal * fm_per_page) + j)
-      done;
-      t.fm_next_slot <- (ordinal * fm_per_page) + count)
-    t.freemap_pages;
   t
 
 let close t = Pager.close t.pager
 let base_lsn t = t.base_lsn
-let epoch t = t.epoch
+let version t = t.version
 let pager t = t.pager
-let btree_root t = t.btree_root
 
 (* ---- catalog reconstruction (recovery) --------------------------------- *)
 
-let iter_heap_slots t f =
+let iter_heap_pages t f =
   for l = 0 to t.n_logical - 1 do
     if t.pt.(l) <> 0 then begin
       let b = read_logical t l in
-      if Char.code (Bytes.get b 0) = tag_heap then begin
-        let count = get_u16 b 2 in
-        for s = 0 to count - 1 do
-          let off = get_u16 b (slot_off s) in
-          if off <> 0 then begin
-            let len = get_u16 b (slot_off s + 2) in
-            f ~tid:(tid_of ~page:l ~slot:s) (Bytes.sub_string b off len)
-          end
-        done
-      end
+      if Char.code (Bytes.get b 0) = tag_heap then f l b
     end
   done
 
-(* Rebuild the in-memory catalog (and this store's TID maps) from pages:
-   the skeleton snapshot gives hierarchies, schemas and stats; the heap
-   scan refills every relation's tuples. This is recovery's
-   counterpart of the old full-snapshot decode — reads stay O(data),
-   only checkpoint writes became O(delta). *)
+(* [f slot record] for every live slot of heap page [b]. *)
+let iter_slots b f =
+  for s = 0 to get_u16 b 2 - 1 do
+    let off = get_u16 b (slot_off s) in
+    if off <> 0 then f s (Bytes.sub_string b off (get_u16 b (slot_off s + 2)))
+  done
+
+(* Rebuild the in-memory catalog from pages, and this store's TID and
+   free-space tables with it: the skeleton snapshot gives hierarchies,
+   schemas and stats; one heap scan refills every relation's tuples,
+   records each tuple's TID and each heap page's free bytes. Recovery
+   reads O(data); checkpoint writes stay O(delta). *)
 let to_catalog t =
   let skeleton, _, _ = decode_blob t.blob in
-  if skeleton = "" then Catalog.create ()
-  else begin
-    let cat =
+  let cat =
+    if skeleton = "" then Catalog.create ()
+    else
       try Snapshot.decode ~check:false skeleton
       with Snapshot.Corrupt_snapshot msg -> corrupt "DDL skeleton: %s" msg
-    in
-    let by_id = Hashtbl.create 16 in
-    List.iter
-      (fun (name, id) ->
-        match Catalog.find_relation cat name with
-        | Some rel ->
-          let schema = Relation.schema rel in
-          let arity = Schema.arity schema in
-          let memo = Array.init arity (fun _ -> Hashtbl.create 256) in
-          Hashtbl.replace by_id id (name, schema, memo, ref rel)
-        | None -> corrupt "relation id %d (%s) missing from DDL skeleton" id name)
-      t.rel_ids;
-    Hashtbl.reset t.tids;
-    iter_heap_slots t (fun ~tid record ->
-        let rel_id, sign, labels = decode_record record in
-        match Hashtbl.find_opt by_id rel_id with
-        | None -> corrupt "tuple %d references unknown relation id %d" tid rel_id
-        | Some (name, schema, memo, rel) ->
-          let arity = Schema.arity schema in
-          if List.length labels <> arity then
-            corrupt "tuple %d arity %d does not match %s/%d" tid (List.length labels) name arity;
-          let coords = Array.make arity 0 in
-          List.iteri
-            (fun i label ->
-              let node =
-                match Hashtbl.find_opt memo.(i) label with
-                | Some v -> v
-                | None ->
-                  let v =
-                    try Hierarchy.find_exn (Schema.hierarchy schema i) label
-                    with _ -> corrupt "tuple %d label %S unknown in hierarchy" tid label
-                  in
-                  Hashtbl.add memo.(i) label v;
-                  v
-              in
-              coords.(i) <- node)
-            labels;
-          (try rel := Relation.add !rel (Item.make schema coords) sign
-           with Types.Model_error msg -> corrupt "tuple %d: %s" tid msg);
-          Hashtbl.replace (rel_tids t name) (labels_key labels) tid);
-    Hashtbl.iter (fun _ (name, _, _, rel) ->
-        ignore name;
-        Catalog.replace_relation cat !rel)
-      by_id;
-    cat
-  end
+  in
+  let by_id = Hashtbl.create 16 in
+  List.iter
+    (fun (name, id) ->
+      match Catalog.find_relation cat name with
+      | Some rel ->
+        let schema = Relation.schema rel in
+        let arity = Schema.arity schema in
+        let memo = Array.init arity (fun _ -> Hashtbl.create 256) in
+        Hashtbl.replace by_id id (name, schema, memo, ref rel)
+      | None -> corrupt "relation id %d (%s) missing from DDL skeleton" id name)
+    t.rel_ids;
+  Hashtbl.reset t.tids;
+  Hashtbl.reset t.free_space;
+  t.fill_page <- None;
+  iter_heap_pages t (fun l b ->
+      Hashtbl.replace t.free_space l (computed_free b);
+      iter_slots b (fun s record ->
+          let tid = tid_of ~page:l ~slot:s in
+          let rel_id, sign, labels = decode_record record in
+          match Hashtbl.find_opt by_id rel_id with
+          | None -> corrupt "tuple %d references unknown relation id %d" tid rel_id
+          | Some (name, schema, memo, rel) ->
+            let arity = Schema.arity schema in
+            if List.length labels <> arity then
+              corrupt "tuple %d arity %d does not match %s/%d" tid (List.length labels) name
+                arity;
+            let coords = Array.make arity 0 in
+            List.iteri
+              (fun i label ->
+                let node =
+                  match Hashtbl.find_opt memo.(i) label with
+                  | Some v -> v
+                  | None ->
+                    let v =
+                      try Hierarchy.find_exn (Schema.hierarchy schema i) label
+                      with _ -> corrupt "tuple %d label %S unknown in hierarchy" tid label
+                    in
+                    Hashtbl.add memo.(i) label v;
+                    v
+                in
+                coords.(i) <- node)
+              labels;
+            (try rel := Relation.add !rel (Item.make schema coords) sign
+             with Types.Model_error msg -> corrupt "tuple %d: %s" tid msg);
+            Hashtbl.replace (rel_tids t name) (labels_key labels) tid));
+  Hashtbl.iter (fun _ (_, _, _, rel) -> Catalog.replace_relation cat !rel) by_id;
+  cat
 
 (* ---- relation apply (checkpoint delta) --------------------------------- *)
 
@@ -806,10 +698,8 @@ let apply_relation t ?old rel =
   let name = Relation.name rel in
   let rel_id = rel_id_of t name in
   let schema = Relation.schema rel in
-  let del o tu = delete_tuple t ~rel:name ~rel_id (tuple_labels (Relation.schema o) tu) in
-  let ins tu =
-    ignore (insert_tuple t ~rel:name ~rel_id ~sign:tu.Relation.sign (tuple_labels schema tu))
-  in
+  let del o tu = delete_tuple t ~rel:name (tuple_labels (Relation.schema o) tu) in
+  let ins tu = insert_tuple t ~rel:name ~rel_id ~sign:tu.Relation.sign (tuple_labels schema tu) in
   match old with
   | None -> List.iter ins (Relation.tuples rel)
   | Some o ->
@@ -849,29 +739,18 @@ let apply_relation t ?old rel =
     walk (Relation.tuples o) (Relation.tuples rel)
 
 let drop_relation t name =
-  match List.assoc_opt name t.rel_ids with
-  | None -> ()
-  | Some rel_id ->
-    (match Hashtbl.find_opt t.tids name with
-    | None -> ()
-    | Some tbl ->
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-      List.iter (fun key -> delete_tuple t ~rel:name ~rel_id (split_key key)) keys);
-    Hashtbl.remove t.tids name;
-    t.rel_ids <- List.filter (fun (n, _) -> n <> name) t.rel_ids
+  Option.iter (Hashtbl.iter (fun _ tid -> tombstone t tid)) (Hashtbl.find_opt t.tids name);
+  Hashtbl.remove t.tids name;
+  t.rel_ids <- List.filter (fun (n, _) -> n <> name) t.rel_ids
 
 let apply_catalog t cat =
   List.iter (fun rel -> apply_relation t rel) (Catalog.relations cat)
 
-(* ---- integrity checks (fsck) ------------------------------------------- *)
-
-type fault_kind = Checksum | Dangling_tid | Duplicate_tid | Btree_order | Freemap
-type fault = { kind : fault_kind; detail : string }
+(* ---- integrity check (fsck) -------------------------------------------- *)
 
 let check t =
   let faults = ref [] in
-  let fault kind fmt = Format.kasprintf (fun detail -> faults := { kind; detail } :: !faults) fmt in
-  (* per-page seals *)
+  let fault fmt = Format.kasprintf (fun detail -> faults := detail :: !faults) fmt in
   for l = 0 to t.n_logical - 1 do
     if t.pt.(l) <> 0 then begin
       let b = read_logical t l in
@@ -880,102 +759,18 @@ let check t =
       set_u32 copy 12 0;
       let actual = Int32.to_int (Codec.crc32 (Bytes.to_string copy)) land 0xFFFFFFFF in
       if stored <> actual then
-        fault Checksum "logical page %d: CRC stored %08x, computed %08x" l stored actual
+        fault "logical page %d: CRC stored %08x, computed %08x" l stored actual
       else if get_u32 b 8 <> l then
-        fault Checksum "logical page %d: header claims logical id %d" l (get_u32 b 8)
+        fault "logical page %d: header claims logical id %d" l (get_u32 b 8)
+      else if Char.code (Bytes.get b 0) = tag_heap then
+        try
+          iter_slots b (fun s record ->
+              match decode_record record with
+              | exception R.Corrupt _ -> fault "page %d slot %d: record does not decode" l s
+              | _ -> ())
+        with Invalid_argument _ -> fault "page %d: slot directory points outside the page" l
     end
   done;
-  (* B-tree structure *)
-  let pages = bt_pages t in
-  let bt_faults = Btree.check pages ~root:t.btree_root in
-  List.iter (fun d -> fault Btree_order "%s" d) bt_faults;
-  (* The cross-sweeps walk the tree and probe it per heap label; both
-     would raise rather than report on nodes that do not decode, so they
-     only run over a structurally sound tree. *)
-  if bt_faults = [] then begin
-  (* B-tree -> heap: every entry resolves to a live, matching tuple *)
-  let seen = Hashtbl.create 1024 in
-  Btree.iter pages ~root:t.btree_root (fun key tid ->
-      let rel_id, attr, lab = parse_bt_key key in
-      if Hashtbl.mem seen (rel_id, attr, tid) then
-        fault Duplicate_tid "tid %d referenced twice for relation %d attribute %d" tid rel_id attr
-      else Hashtbl.replace seen (rel_id, attr, tid) ();
-      let l = tid_page tid and s = tid_slot tid in
-      if l >= t.n_logical || t.pt.(l) = 0 then
-        fault Dangling_tid "index entry %S -> tid %d: page %d unmapped" lab tid l
-      else begin
-        let b = read_logical t l in
-        if Char.code (Bytes.get b 0) <> tag_heap then
-          fault Dangling_tid "index entry %S -> tid %d: page %d is not a heap page" lab tid l
-        else if s >= get_u16 b 2 || get_u16 b (slot_off s) = 0 then
-          fault Dangling_tid "index entry %S -> tid %d: slot is a tombstone" lab tid
-        else begin
-          let off = get_u16 b (slot_off s) in
-          let len = get_u16 b (slot_off s + 2) in
-          match decode_record (Bytes.sub_string b off len) with
-          | exception _ -> fault Dangling_tid "tid %d: record does not decode" tid
-          | rec_rel, _, labels ->
-            if rec_rel <> rel_id then
-              fault Btree_order "tid %d: index says relation %d, record says %d" tid rel_id rec_rel
-            else if attr >= List.length labels then
-              fault Btree_order "tid %d: index attribute %d out of record arity" tid attr
-            else begin
-              let full = List.nth labels attr in
-              let trunc =
-                if String.length full > Btree.max_key - 6 then
-                  String.sub full 0 (Btree.max_key - 6)
-                else full
-              in
-              if not (String.equal trunc lab) then
-                fault Btree_order "tid %d attribute %d: leaf key %S disagrees with heap label %S"
-                  tid attr lab full
-            end
-        end
-      end);
-  (* heap -> B-tree and free-map accuracy *)
-  for l = 0 to t.n_logical - 1 do
-    if t.pt.(l) <> 0 then begin
-      let b = read_logical t l in
-      if Char.code (Bytes.get b 0) = tag_heap then begin
-        let count = get_u16 b 2 in
-        let live = ref 0 in
-        for s = 0 to count - 1 do
-          let off = get_u16 b (slot_off s) in
-          if off <> 0 then begin
-            incr live;
-            let len = get_u16 b (slot_off s + 2) in
-            match decode_record (Bytes.sub_string b off len) with
-            | exception _ -> fault Checksum "page %d slot %d: record does not decode" l s
-            | rel_id, _, labels ->
-              let tid = tid_of ~page:l ~slot:s in
-              List.iteri
-                (fun attr label ->
-                  let tids = Btree.lookup pages ~root:t.btree_root (bt_key ~rel_id ~attr label) in
-                  if not (List.mem tid tids) then
-                    fault Btree_order "tid %d attribute %d (%S) missing from the index" tid attr
-                      label)
-                labels
-          end
-        done;
-        let free = computed_free b in
-        match Hashtbl.find_opt t.free_space l with
-        | None -> fault Freemap "heap page %d has no free-space map entry" l
-        | Some (fm_free, fm_live) ->
-          if fm_free <> free || fm_live <> !live then
-            fault Freemap "heap page %d: map says free=%d live=%d, page has free=%d live=%d" l
-              fm_free fm_live free !live
-      end
-    end
-  done
-  end;
-  (* free-map entries must point at live heap pages *)
-  Hashtbl.iter
-    (fun l _ ->
-      if l >= t.n_logical || t.pt.(l) = 0 then
-        fault Freemap "free-space map entry for unmapped page %d" l
-      else if Char.code (Bytes.get (read_logical t l) 0) <> tag_heap then
-        fault Freemap "free-space map entry for non-heap page %d" l)
-    t.free_space;
   List.rev !faults
 
 (* ---- corruption and crash hooks for tests ------------------------------ *)
@@ -983,94 +778,25 @@ let check t =
 module Testing = struct
   let crash_before_meta = crash_before_meta
 
-  (* In-place edits bypass shadowing on purpose: they simulate committed
-     state rotting on disk. [restamp] keeps the CRC valid so each
-     corruption isolates one finding. *)
-  let edit ?(restamp = true) t l f =
-    Pager.with_page t.pager (resolve t l) (fun b ->
-        f b;
-        if restamp then stamp_crc b);
-    Pager.flush t.pager
-
+  (* An in-place edit that bypasses shadowing on purpose: committed
+     state rotting on disk. *)
   let corrupt_page t =
-    edit ~restamp:false t t.btree_root (fun b ->
-        Bytes.set b (header + 1) (Char.chr (Char.code (Bytes.get b (header + 1)) lxor 0xff)))
-
-  let first_live_slot t =
-    let found = ref None in
+    let heap = ref None in
     (try
-       iter_heap_slots t (fun ~tid _ ->
-           found := Some tid;
+       iter_heap_pages t (fun l _ ->
+           heap := Some l;
            raise Exit)
      with Exit -> ());
-    match !found with Some tid -> tid | None -> failwith "store has no live tuples"
+    match !heap with
+    | None -> failwith "store has no heap pages"
+    | Some l ->
+      Pager.with_page t.pager (resolve t l) (fun b ->
+          let last = page_size - 1 in
+          Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0xff)));
+      Pager.flush t.pager
 
-  let kill_slot t =
-    let tid = first_live_slot t in
-    let heap_l = tid_page tid in
-    let free = ref 0 and live = ref 0 in
-    edit t heap_l (fun b ->
-        set_u16 b (slot_off (tid_slot tid)) 0;
-        set_u16 b 6 (get_u16 b 6 - 1);
-        free := computed_free b;
-        live := get_u16 b 6);
-    (* keep the on-disk free-space map consistent so only the dangling
-       index entry is reported *)
-    let slot = Hashtbl.find t.fm_slot heap_l in
-    let fm_l = List.nth t.freemap_pages (slot / fm_per_page) in
-    edit t fm_l (fun b ->
-        let off = header + (8 * (slot mod fm_per_page)) in
-        set_u16 b (off + 4) !free;
-        set_u16 b (off + 6) !live);
-    tid
-
-  let rec first_leaf t l =
-    let b = read_logical t l in
-    match Char.code (Bytes.get b 0) with
-    | 3 -> l
-    | 4 -> first_leaf t (get_u32 b header)
-    | tag -> failwith (Printf.sprintf "unexpected page tag %d under btree root" tag)
-
-  let swap_btree_keys t =
-    let leaf = first_leaf t t.btree_root in
-    edit t leaf (fun b ->
-        let count = get_u16 b 2 in
-        if count < 2 then failwith "first leaf has fewer than two entries";
-        (* swap the first two entries' payloads wholesale *)
-        let off1 = header in
-        let len1 = 10 + get_u16 b off1 in
-        let off2 = off1 + len1 in
-        let len2 = 10 + get_u16 b off2 in
-        let e1 = Bytes.sub b off1 len1 in
-        let e2 = Bytes.sub b off2 len2 in
-        Bytes.blit e2 0 b off1 len2;
-        Bytes.blit e1 0 b (off1 + len2) len1)
-
-  let dup_btree_ref t =
-    let tid = first_live_slot t in
-    let b = read_logical t (tid_page tid) in
-    let off = get_u16 b (slot_off (tid_slot tid)) in
-    let len = get_u16 b (slot_off (tid_slot tid) + 2) in
-    let rel_id, _, labels = decode_record (Bytes.sub_string b off len) in
-    let label = List.hd labels in
-    t.btree_root <-
-      Btree.insert (bt_pages t) ~root:t.btree_root
-        ~key:(bt_key ~rel_id ~attr:0 (label ^ "~dup"))
-        ~tid;
-    (* persist the inconsistency through a normal commit *)
-    ignore (commit t ~base_lsn:t.base_lsn ())
-
-  let skew_freemap t =
-    let heap_l =
-      let found = ref None in
-      (try
-         Hashtbl.iter (fun l _ -> found := Some l; raise Exit) t.free_space
-       with Exit -> ());
-      match !found with Some l -> l | None -> failwith "store has no heap pages"
-    in
-    let slot = Hashtbl.find t.fm_slot heap_l in
-    let fm_l = List.nth t.freemap_pages (slot / fm_per_page) in
-    edit t fm_l (fun b ->
-        let off = header + (8 * (slot mod fm_per_page)) in
-        set_u16 b (off + 4) (get_u16 b (off + 4) + 99))
+  let page_tags t =
+    List.filter_map
+      (fun l -> if t.pt.(l) = 0 then None else Some (Char.code (Bytes.get (read_logical t l) 0)))
+      (List.init t.n_logical Fun.id)
 end

@@ -1,7 +1,7 @@
 (** The paged durable store behind {!Db}: one [pages.db] file of
     shadow-paged 4 KiB pages holding slotted heap pages of TID-addressed
-    tuples, a {!Btree} over (relation, attribute, label), a free-space
-    map, and a DDL blob (skeleton {!Snapshot} + relation-id map).
+    tuples and a DDL blob (skeleton {!Snapshot} + relation-id map). The
+    heap is the only tuple structure on disk.
 
     Mutations accumulate in relocated copies of the affected pages;
     nothing becomes visible to a reopen until {!commit} publishes a new
@@ -17,26 +17,33 @@ exception Corrupt of string
 
 val create : ?pool_pages:int -> string -> t
 (** A fresh store at [path] (truncating any existing file), with meta
-    slots and an empty B-tree initialised but nothing committed — call
+    slots reserved but nothing committed — call
     {!commit} to make it openable. Builders write to a temp path and
     rename over [pages.db] so a crash mid-build never strands a
     half-written store. *)
 
 val open_ : ?pool_pages:int -> string -> t
 (** Load the newest valid epoch: pick the meta root, rebuild the page
-    table, free lists, DDL blob and free-space map. O(metadata); tuple
-    pages are only read by {!to_catalog} / {!check}. *)
+    table, free lists and DDL blob. O(metadata); heap pages are only
+    read by {!to_catalog} / {!check}. Opens meta versions 1 and 2. *)
 
 val close : t -> unit
 val base_lsn : t -> int
-val epoch : t -> int
 val pager : t -> Pager.t
-val btree_root : t -> int
+
+val meta_version : int
+(** The meta format this build writes (2). *)
+
+val version : t -> int
+(** The meta format the store was opened at. A version-1 file still
+    maps its retired B-tree and free-space-map pages; {!Db.open_dir}
+    rebuilds it rather than writing to it. *)
 
 val to_catalog : t -> Hierel.Catalog.t
 (** Rebuild the in-memory catalog from pages (heap scan + skeleton
-    snapshot decode), also priming this store's TID maps for later
-    delta application. *)
+    snapshot decode). The same scan refills this store's TID table and
+    per-page free-space table, which later deltas and inserts use; call
+    it before mutating a reopened store. *)
 
 val apply_relation : t -> ?old:Hierel.Relation.t -> Hierel.Relation.t -> unit
 (** Write a relation's tuples as a delta against [old] (its value at
@@ -44,7 +51,7 @@ val apply_relation : t -> ?old:Hierel.Relation.t -> Hierel.Relation.t -> unit
     absent means every tuple is new (initial load / migration). *)
 
 val drop_relation : t -> string -> unit
-(** Delete every tuple and index entry of the named relation. *)
+(** Delete every tuple of the named relation. *)
 
 val apply_catalog : t -> Hierel.Catalog.t -> unit
 (** {!apply_relation} with no [old] for every relation — full loads
@@ -62,43 +69,22 @@ val commit : t -> ?fsync:bool -> base_lsn:int -> unit -> int * int
     [(pages_written, pages_total)] and sets the
     [storage.checkpoint.dirty_pages] / [pages_total] gauges. *)
 
-(** {2 Integrity (fsck F025–F029)} *)
+(** {2 Integrity (fsck F025)} *)
 
-type fault_kind =
-  | Checksum  (** F025: page CRC / header seal violations *)
-  | Dangling_tid  (** F026: index entry pointing at a dead or absent tuple *)
-  | Duplicate_tid  (** F027: one TID referenced twice for the same attribute *)
-  | Btree_order  (** F028: key order or leaf/heap disagreement *)
-  | Freemap  (** F029: free-space map inaccurate *)
+val check : t -> string list
+(** Full sweep: every mapped page's seal (CRC + logical id) and every
+    heap record decodes. Empty list means sound. *)
 
-type fault = { kind : fault_kind; detail : string }
-
-val check : t -> fault list
-(** Full sweep: page seals, B-tree structure, index↔heap agreement in
-    both directions, free-map accuracy. Empty list means sound. *)
-
-(** Seeded corruption and crash hooks for the test suite. The edits
-    write committed pages in place (deliberately bypassing shadowing)
-    and re-seal CRCs so each one isolates a single finding. *)
+(** Seeded corruption and crash hooks for the test suite. *)
 module Testing : sig
   val crash_before_meta : bool ref
   (** When set, the next {!commit} dies with [_exit 137] after the data
       flush but before the meta-root swap. *)
 
   val corrupt_page : t -> unit
-  (** Flip a byte under the B-tree root's seal (F025). *)
+  (** Flip a byte of the first heap page in place, under its seal
+      (F025). *)
 
-  val kill_slot : t -> int
-  (** Tombstone a live tuple's slot without touching the index; returns
-      the now-dangling TID (F026). *)
-
-  val dup_btree_ref : t -> unit
-  (** Insert a second index entry for an existing TID under the same
-      attribute and commit it (F027). *)
-
-  val swap_btree_keys : t -> unit
-  (** Swap the first two entries of the leftmost leaf (F028). *)
-
-  val skew_freemap : t -> unit
-  (** Inflate one free-space map entry's free-byte count (F029). *)
+  val page_tags : t -> int list
+  (** The type byte of every mapped logical page, in logical order. *)
 end

@@ -31,7 +31,6 @@ let () =
       ("frames", Test_frames.suite);
       ("storage", Test_storage.suite);
       ("pager", Test_pager.suite);
-      ("btree", Test_btree.suite);
       ("properties", Test_props.suite);
       ("fuzz", Test_fuzz.suite);
       ("obs", Test_obs.suite);

@@ -145,6 +145,55 @@ let test_fsck_over_the_wire () =
       Server.Client.close conn;
       wait_child pid)
 
+(* Pipelined replies must not wait for the peer's delayed ACK: with
+   Nagle's algorithm on, the server's second reply of a burst sits in
+   the kernel until the client acknowledges the first (up to ~40 ms on
+   Linux). Bursts of five requests go out in one write; every reply's
+   latency is timed from its burst's send. *)
+let test_pipelined_replies_not_delayed () =
+  let server = Server.create_memory ~port:0 () in
+  let port = Server.port server in
+  match Unix.fork () with
+  | 0 ->
+    (try Server.serve_forever server with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        wait_child pid)
+      (fun () ->
+        let conn = Server.Client.connect ~timeout:10.0 ~port () in
+        (match
+           Server.Client.exec conn
+             "CREATE DOMAIN d; CREATE INSTANCE x OF d; CREATE RELATION r (v: d); INSERT INTO r VALUES (+ x);"
+         with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "setup: %s" e);
+        let burst = 5 and rounds = 12 in
+        let frames =
+          String.concat "" (List.init burst (fun _ -> Hr_frames.Wire.frame "EXEC" "ASK r (x);"))
+        in
+        let latencies = ref [] in
+        for _ = 1 to rounds do
+          let t0 = Unix.gettimeofday () in
+          let n = Unix.write_substring (Server.Client.fd conn) frames 0 (String.length frames) in
+          Alcotest.(check int) "burst sent in one write" (String.length frames) n;
+          for _ = 1 to burst do
+            (match Server.Client.recv conn with
+            | Ok out -> Alcotest.(check string) "pipelined verdict" "+ (by (x))" out
+            | Error e -> Alcotest.failf "pipelined ask: %s" e);
+            latencies := (Unix.gettimeofday () -. t0) :: !latencies
+          done;
+          Unix.sleepf 0.005
+        done;
+        Server.Client.close conn;
+        let sorted = Array.of_list (List.sort compare !latencies) in
+        let p90 = sorted.((Array.length sorted * 9 / 10) - 1) *. 1000.0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "p90 of %d pipelined replies is %.2f ms" (Array.length sorted) p90)
+          true (p90 < 15.0))
+
 let suite =
   [
     Alcotest.test_case "tcp round trip" `Quick test_round_trip;
@@ -152,4 +201,6 @@ let suite =
     Alcotest.test_case "durable backend over tcp" `Quick test_durable_backend;
     Alcotest.test_case "lint over the wire" `Quick test_lint_over_the_wire;
     Alcotest.test_case "fsck over the wire" `Quick test_fsck_over_the_wire;
+    Alcotest.test_case "pipelined replies are not delayed" `Quick
+      test_pipelined_replies_not_delayed;
   ]
